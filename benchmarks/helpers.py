@@ -25,7 +25,6 @@ __all__ = [
     "byte_rows",
     "checked_translate_and_execute",
     "forced_executor",
-    "forced_ivm",
     "fresh_tpch",
     "timed",
 ]
@@ -102,29 +101,6 @@ def forced_executor(mode: Optional[str]):
             os.environ.pop("REPRO_VECTORIZE", None)
         else:
             os.environ["REPRO_VECTORIZE"] = previous
-
-
-@contextmanager
-def forced_ivm(mode: Optional[str]):
-    """Pin the probe-cache maintenance policy for the block.
-
-    ``"1"`` forces delta maintenance regardless of delta size, ``"0"``
-    forces the invalidate-and-recompute path, ``None`` restores the
-    threshold-driven default.  Restores the previous ``REPRO_IVM`` on
-    exit, mirroring :func:`forced_executor`.
-    """
-    previous = os.environ.get("REPRO_IVM")
-    if mode is None:
-        os.environ.pop("REPRO_IVM", None)
-    else:
-        os.environ["REPRO_IVM"] = mode
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_IVM", None)
-        else:
-            os.environ["REPRO_IVM"] = previous
 
 
 def byte_rows(rows: Iterable[dict]) -> list:

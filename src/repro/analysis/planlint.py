@@ -70,7 +70,6 @@ __all__ = [
     "CHECK_KEY_ARITY",
     "CHECK_KEY_TYPES",
     "CHECK_LEAF_COVERAGE",
-    "CHECK_MAINTENANCE",
     "CHECK_SHAPE",
     "CHECK_UNBOUND_COLUMN",
     "CHECK_UNKNOWN_COLUMN",
@@ -81,8 +80,6 @@ __all__ = [
     "plan_verify_enabled",
     "sweep_plans",
     "verified_plan_count",
-    "verify_maintenance_or_raise",
-    "verify_maintenance_plan",
     "verify_or_raise",
     "verify_plan",
     "verify_vector_or_raise",
@@ -98,7 +95,6 @@ CHECK_KEY_ARITY = "plan-key-arity"
 CHECK_KEY_TYPES = "plan-key-type-mismatch"
 CHECK_ESTIMATE = "plan-estimate-bounds"
 CHECK_VECTOR_STAGES = "plan-vector-stages"
-CHECK_MAINTENANCE = "plan-maintenance"
 
 #: estimate comparisons tolerate float noise, not real violations
 _EST_TOLERANCE = 1.0001
@@ -607,138 +603,6 @@ def verify_vector_or_raise(db: Database, root: PlanNode, plan: Any) -> None:
         raise PlanVerificationError(
             [finding.describe() for finding in findings],
             plan_text=getattr(plan, "explain_text", root.explain()),
-        )
-
-
-# ---------------------------------------------------------------------------
-# maintenance-plan verification
-# ---------------------------------------------------------------------------
-
-def verify_maintenance_plan(db: Database, mplan: Any) -> list[PlanFinding]:
-    """Statically check a maintenance lowering (:mod:`repro.rdb.ivm`).
-
-    *mplan* is the :class:`~repro.rdb.ivm.MaintenancePlan` the
-    maintenance compiler produced.  The invariants, per delta rule:
-
-    * rules cover the plan's FROM names exactly, each over a registered
-      relation;
-    * the rule's join-completion levels cover every *other* FROM name
-      exactly once, never the delta relation itself;
-    * every WHERE conjunct is consumed exactly once (as an own filter,
-      an equality binding, or a level residual), so no predicate is
-      dropped or double-applied;
-    * own filters reference only the delta relation; binding value
-      expressions reference only relations bound before their level;
-      binding and residual conjuncts reference only relations bound at
-      their level; binding columns exist in the level's schema.
-    """
-    findings: list[PlanFinding] = []
-
-    def bad(detail: str) -> None:
-        findings.append(PlanFinding(CHECK_MAINTENANCE, detail))
-
-    names = tuple(mplan.names)
-    if not names or len(set(names)) != len(names):
-        bad(f"FROM names must be non-empty and unique, got {names!r}")
-        return findings
-    for name in names:
-        if name not in db.tables:
-            bad(f"rule target {name!r} is not a registered relation")
-    if set(mplan.rules) != set(names):
-        bad(
-            f"rules cover {sorted(mplan.rules)!r}, the plan's FROM "
-            f"names are {sorted(names)!r}"
-        )
-        return findings
-    where = mplan.plan.where
-    conjuncts = where.conjuncts() if where is not None else []
-    expected = sorted(id(conjunct) for conjunct in conjuncts)
-    for delta_name, rule in mplan.rules.items():
-        level_names = [level.relation for level in rule.levels]
-        if delta_name in level_names:
-            bad(f"rule {delta_name!r} joins back against its own deltas")
-        if sorted(level_names) != sorted(set(names) - {delta_name}):
-            bad(
-                f"rule {delta_name!r} completes over {level_names!r}, "
-                f"expected the other FROM names exactly once each"
-            )
-        consumed: list[int] = [id(expr) for expr in rule.own]
-        for expr in rule.own:
-            qualifiers = {
-                qualifier for qualifier, _ in expr.columns()
-                if qualifier is not None
-            }
-            if not qualifiers <= {delta_name}:
-                bad(
-                    f"rule {delta_name!r} own filter {expr.to_sql()} "
-                    f"references {sorted(qualifiers)!r}"
-                )
-        bound = {delta_name}
-        for level in rule.levels:
-            schema_columns: Optional[set] = None
-            if level.relation in db.tables:
-                schema_columns = set(
-                    db.relation(level.relation).attribute_names
-                )
-            here = bound | {level.relation}
-            for column, value_expr, conjunct in level.bindings:
-                consumed.append(id(conjunct))
-                if schema_columns is not None and column not in schema_columns:
-                    bad(
-                        f"rule {delta_name!r} binds unknown column "
-                        f"{level.relation}.{column}"
-                    )
-                value_quals = {
-                    qualifier for qualifier, _ in value_expr.columns()
-                    if qualifier is not None
-                }
-                if not value_quals <= bound:
-                    bad(
-                        f"rule {delta_name!r} binding value for "
-                        f"{level.relation}.{column} references unbound "
-                        f"{sorted(value_quals - bound)!r}"
-                    )
-                conjunct_quals = {
-                    qualifier for qualifier, _ in conjunct.columns()
-                    if qualifier is not None
-                }
-                if not conjunct_quals <= here:
-                    bad(
-                        f"rule {delta_name!r} binding conjunct "
-                        f"{conjunct.to_sql()} references unbound "
-                        f"{sorted(conjunct_quals - here)!r}"
-                    )
-            for expr in level.residuals:
-                consumed.append(id(expr))
-                qualifiers = {
-                    qualifier for qualifier, _ in expr.columns()
-                    if qualifier is not None
-                }
-                if not qualifiers <= here:
-                    bad(
-                        f"rule {delta_name!r} residual {expr.to_sql()} at "
-                        f"level {level.relation!r} references unbound "
-                        f"{sorted(qualifiers - here)!r}"
-                    )
-            bound = here
-        if sorted(consumed) != expected:
-            bad(
-                f"rule {delta_name!r} consumes {len(consumed)} "
-                f"conjunct(s), the plan has {len(expected)} — every "
-                f"WHERE conjunct must be applied exactly once"
-            )
-    return findings
-
-
-def verify_maintenance_or_raise(db: Database, mplan: Any) -> None:
-    """The maintenance-compile debug hook: verify, count, raise."""
-    global _verified_plans
-    findings = verify_maintenance_plan(db, mplan)
-    _verified_plans += 1
-    if findings:
-        raise PlanVerificationError(
-            [finding.describe() for finding in findings],
-            plan_text=mplan.plan.to_sql(),
         )
 
 

@@ -252,25 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the engine executor benchmark (Fig. 15/16 workloads)",
     )
     bench.add_argument(
-        "--streaming",
-        action="store_true",
-        help="run the streaming-session benchmark instead (probe "
-        "maintenance vs invalidate-and-recompute, BENCH_streaming.json)",
-    )
-    bench.add_argument(
         "--scale",
         type=float,
         default=None,
         metavar="MB",
         help="nominal database size in MB (default: the benchmark's "
-        "full-run scale; engine benchmark only)",
+        "full-run scale)",
     )
     bench.add_argument(
         "--rounds",
         type=int,
         default=None,
-        help="best-of timing rounds per executor (with --streaming: "
-        "live update rounds)",
+        help="best-of timing rounds per executor",
     )
     bench.add_argument(
         "--quick",
@@ -483,17 +476,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # the benchmark harness lives in the repository's benchmarks/
     # package, next to src/ — importable from a checkout, not from an
     # installed wheel
-    module = (
-        "bench_batch_sessions" if args.streaming else "bench_engine_opt"
-    )
     try:
         import importlib
 
-        bench = importlib.import_module(f"benchmarks.{module}")
+        bench = importlib.import_module("benchmarks.bench_engine_opt")
     except ImportError:
         sys.path.insert(0, str(Path.cwd()))
         try:
-            bench = importlib.import_module(f"benchmarks.{module}")
+            bench = importlib.import_module("benchmarks.bench_engine_opt")
         except ImportError:
             print(
                 "bench: the benchmarks/ package is not importable — run "
@@ -505,10 +495,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.quick:
         argv.append("--quick")
     if args.scale is not None:
-        if args.streaming:
-            print("bench: --scale only applies to the engine benchmark",
-                  file=sys.stderr)
-            return 2
         argv += ["--scale", str(args.scale)]
     if args.rounds is not None:
         argv += ["--rounds", str(args.rounds)]

@@ -101,14 +101,6 @@ class DataCheckResult:
                 self._context_plan = f"(context plan unavailable: {exc})"
         return self._context_plan
 
-    def mutated_relations(self) -> set[str]:
-        """Relations the planned ops write (direct targets only)."""
-        return {
-            op.relation
-            for op in self.planned_ops
-            if getattr(op, "relation", None) is not None
-        }
-
 
 class DataChecker:
     """Runs Step 3 and (optionally) applies the translation."""

@@ -32,7 +32,7 @@ are cross-checked:
 * an interleaved :class:`repro.core.session.UpdateSession` over the
   whole update list must land on the same final state as checking the
   updates one by one with no session (``session-mismatch`` — this is
-  the probe-cache invalidation cross-check);
+  the probe-cache coherence cross-check);
 * nothing may escape as an unhandled exception (``exception``).
 
 Every failed cross-check becomes a :class:`Divergence` carrying the
@@ -45,7 +45,6 @@ to the smallest misbehaving seed.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -569,33 +568,6 @@ def run_scenario(
                     "*batch*",
                     "interleaved session final state differs from "
                     "per-update checking (probe-cache invalidation?)",
-                )
-
-            # third leg: the same session with probe maintenance forced
-            # (REPRO_IVM=1) — cached probes are delta-maintained instead
-            # of recomputed, and the final state must still agree
-            maintained = base.clone()
-            previous_ivm = os.environ.get("REPRO_IVM")
-            os.environ["REPRO_IVM"] = "1"
-            try:
-                session = UpdateSession(
-                    maintained, scenario.view_text, strategy="outside", qa=True
-                )
-                for name, text in scenario.updates:
-                    session.add(text, name=name)
-                session.execute(mode="interleaved", atomic=False)
-            finally:
-                if previous_ivm is None:
-                    os.environ.pop("REPRO_IVM", None)
-                else:
-                    os.environ["REPRO_IVM"] = previous_ivm
-
-            if _fingerprint(sequential) != _fingerprint(maintained):
-                bad(
-                    "ivm-mismatch",
-                    "*batch*",
-                    "maintained session final state differs from "
-                    "per-update checking (delta maintenance bug?)",
                 )
         # Session cross-check escapes are findings, not aborts.
         # repro: allow[REP003]

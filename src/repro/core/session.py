@@ -10,7 +10,12 @@ An :class:`UpdateSession` amortizes that work across a whole batch:
 * **probe caching** — a :class:`repro.core.translation.ProbeCache` is
   attached to the translator: updates anchored at the same view node
   with the same predicate signature reuse PQ1/PQ2 results, and
-  repeated PQ3 key probes collapse too;
+  repeated PQ3 key probes collapse too.  The cache is kept current by
+  the database's change log (``db.deltas``): at the start of each
+  execute, after each applied update and after each rollback, the
+  session drains the relations written since the last drain and drops
+  every cached probe that read one of them.  Writes made outside the
+  session between two executes are caught the same way;
 * **conflict detection** — before any SQL is applied, the queued dirty
   deletes and inserts of the batch are cross-checked: duplicate
   driving-key inserts, inserts under a parent tuple another update
@@ -30,7 +35,7 @@ Two execution modes:
   loses only the failing update.
 * ``interleaved``: check and apply update-by-update inside one open
   transaction — later updates see earlier effects, and the probe cache
-  is invalidated per mutated relation.  A savepoint per update lets
+  drops what each applied update wrote.  A savepoint per update lets
   non-atomic sessions undo just a failing update and continue; atomic
   sessions roll the entire batch back.
 
@@ -62,7 +67,6 @@ from ..errors import (
     UpdateTimeoutError,
 )
 from ..rdb.database import Database
-from ..rdb.ivm import ivm_forced
 from ..xquery.ast import ViewQuery
 from ..xquery.parser import parse_view_query
 from ..xquery.update_ast import ViewUpdate
@@ -187,12 +191,6 @@ class SessionResult:
     timeouts: int = 0
     #: the graceful-degradation policy this batch ran under
     policy: str = ""
-    #: incremental-maintenance accounting (see repro.rdb.ivm): cached
-    #: probes kept current by streaming DML deltas instead of being
-    #: invalidated, entries dropped to recompute, delta rows absorbed
-    ivm_maintained: int = 0
-    ivm_fallbacks: int = 0
-    ivm_delta_rows: int = 0
 
     @property
     def applied(self) -> list[SessionEntry]:
@@ -222,12 +220,6 @@ class SessionResult:
             f"{self.replans_avoided} replan(s) avoided, "
             f"{self.bushy_plans} bushy plan(s)",
         ]
-        if self.ivm_maintained or self.ivm_fallbacks:
-            lines.append(
-                f"  maintenance: {self.ivm_maintained} probe(s) maintained "
-                f"({self.ivm_delta_rows} delta row(s)), "
-                f"{self.ivm_fallbacks} fallback(s) to recompute"
-            )
         if self.retries_used or self.timeouts:
             lines.append(
                 f"  fault handling ({self.policy}): "
@@ -259,7 +251,11 @@ class UpdateSession:
         The marked-ASG registry to compile through; defaults to the
         process-wide :data:`repro.core.asg_cache.shared_store`.
     cache:
-        A :class:`ProbeCache` to (re)use; fresh by default.
+        A :class:`ProbeCache` to (re)use; fresh by default.  The
+        session drains ``db.deltas`` into it, dropping every probe over
+        a relation written since the last drain.  Each drain empties
+        the log, so two sessions over one database hide writes from
+        each other's caches.
     qa:
         Run the post-translation QA audit (:mod:`repro.core.qa`) on
         every checked plan.  Off by default: sessions exist for
@@ -292,12 +288,6 @@ class UpdateSession:
         Injectable timing functions (``time.sleep`` /
         ``time.monotonic``), so retry/timeout tests run deterministic
         and instant.
-    ivm:
-        Maintain cached probe results incrementally from DML deltas
-        (:mod:`repro.rdb.ivm`) instead of invalidating and recomputing
-        them.  Default ``None`` means on, subject to
-        ``db.ivm_threshold``; the ``REPRO_IVM`` environment variable
-        (``0`` off / ``1`` forced) overrides either setting per run.
     """
 
     def __init__(
@@ -316,7 +306,6 @@ class UpdateSession:
         on_failure: Optional[str] = None,
         sleep: Optional[Callable[[float], None]] = None,
         clock: Optional[Callable[[], float]] = None,
-        ivm: Optional[bool] = None,
     ) -> None:
         self.db = db
         self.strategy = strategy
@@ -343,13 +332,6 @@ class UpdateSession:
         self.cache = ProbeCache() if cache is None else cache
         self.ufilter.checker.translator.cache = self.cache
         self._queue: list[ViewUpdate] = []
-        self.ivm = ivm
-        #: cascade closures memoized per FK-graph epoch (the closure
-        #: only changes when non-temp relations are created or dropped)
-        self._closure_cache: dict[frozenset[str], set[str]] = {}
-        self._closure_epoch = db.fk_epoch
-        if self._ivm_active():
-            db.deltas.enable()
 
     # ------------------------------------------------------------------
     # queueing
@@ -398,11 +380,9 @@ class UpdateSession:
             # every cached probe result is suspect
             self.cache.clear()
             self._recovery_epoch = self.db.recovery_epoch
-        if self._ivm_active():
-            # mutations since the last batch (other sessions, direct
-            # DML) stream into the cache before any probe trusts it
-            self.db.deltas.enable()
-            self.cache.maintain(self.db, self.db.deltas.take())
+        # writes since the last batch (direct DML, other callers) drop
+        # the probes they stale before any probe is trusted
+        self._refresh_cache()
         stats_before = dict(self.db.stats)
         hits_before, misses_before = self.cache.hits, self.cache.misses
         invalidations_before = self.cache.invalidations
@@ -427,15 +407,6 @@ class UpdateSession:
             stats["replans_avoided"] - stats_before["replans_avoided"]
         )
         result.bushy_plans = stats["bushy_plans"] - stats_before["bushy_plans"]
-        result.ivm_maintained = (
-            stats["ivm_maintained"] - stats_before["ivm_maintained"]
-        )
-        result.ivm_fallbacks = (
-            stats["ivm_fallbacks"] - stats_before["ivm_fallbacks"]
-        )
-        result.ivm_delta_rows = (
-            stats["ivm_delta_rows"] - stats_before["ivm_delta_rows"]
-        )
         result.cache_hits = self.cache.hits - hits_before
         result.cache_misses = self.cache.misses - misses_before
         result.cache_invalidations = (
@@ -514,14 +485,7 @@ class UpdateSession:
             # skip-update: the savepoint already undid it; carry on
         self._commit_with_retry(result)
         result.committed = True
-        mutated: set[str] = set()
-        for entry in planned:
-            if entry.status != "applied":
-                continue  # failed/skipped effects were rolled back
-            assert entry.report is not None and entry.report.data is not None
-            mutated |= entry.report.data.mutated_relations()
-        if mutated:
-            self._refresh_cache(mutated)
+        self._refresh_cache()
 
     def _apply_with_retry(
         self, entry: SessionEntry, result: SessionResult
@@ -818,7 +782,7 @@ class UpdateSession:
                 continue
             if policy == "abort-batch":
                 result.rolled_back = self._rollback_all_with_retry()
-                self.cache.clear()
+                self._refresh_cache()
                 for earlier in entries[:position]:
                     if earlier.status == "applied":
                         earlier.status = "rolled-back"
@@ -869,16 +833,15 @@ class UpdateSession:
                 else:
                     self._enforce_budget(entry.name, started)
             except UpdateTimeoutError as exc:
-                if self._rollback_to_with_retry(mark):
-                    self.cache.clear()
+                self._rollback_to_with_retry(mark)
+                self._refresh_cache()
                 result.timeouts += 1
                 entry.status = "failed"
                 entry.reason = str(exc)
                 return "failed"
             except TransientError as exc:
-                if self._rollback_to_with_retry(mark):
-                    # partial effects existed; anything probed since is suspect
-                    self.cache.clear()
+                self._rollback_to_with_retry(mark)
+                self._refresh_cache()
                 if attempt >= self.retries or self._budget_blown(started):
                     entry.status = "failed"
                     entry.reason = (
@@ -899,15 +862,12 @@ class UpdateSession:
                 data = entry.report.data if entry.report else None
                 if data is not None:
                     result.rows_affected += data.rows_affected
-                    mutated = data.mutated_relations()
-                    if mutated:
-                        self._refresh_cache(mutated)
+                self._refresh_cache()
                 return "applied"
             entry.status = "failed" if engine_error else "rejected"
             entry.reason = reason
-            if self._rollback_to_with_retry(mark):
-                # partial effects existed; anything probed meanwhile is suspect
-                self.cache.clear()
+            self._rollback_to_with_retry(mark)
+            self._refresh_cache()
             return entry.status
 
     # ------------------------------------------------------------------
@@ -987,54 +947,10 @@ class UpdateSession:
                     raise
                 self._backoff_sleep(attempt)
 
-    def _ivm_active(self) -> bool:
-        """Whether mutations maintain the probe cache instead of
-        invalidating it (``REPRO_IVM`` overrides the session flag)."""
-        forced = ivm_forced()
-        if forced is not None:
-            return forced
-        return True if self.ivm is None else self.ivm
-
-    def _refresh_cache(self, mutated: set[str]) -> None:
-        """Bring the probe cache in line with applied mutations.
-
-        Under maintenance, the drained delta events stream into every
-        affected entry (unmaintainable ones drop, forcing a recompute
-        on next probe); otherwise the pre-IVM behaviour holds and the
-        FK-cascade closure of *mutated* is invalidated wholesale.
-        """
-        if self._ivm_active():
-            self.cache.maintain(self.db, self.db.deltas.take())
-        else:
-            self.cache.invalidate(self._cascade_closure(mutated))
-
-    def _cascade_closure(self, relations: set[str]) -> set[str]:
-        """*relations* plus everything reachable through incoming FKs —
-        a delete may cascade into any of those.
-
-        Memoized per FK-graph epoch: rebuilding the closure on every
-        invalidation walked the schema's FK edges once per applied
-        update, for a graph that only changes on non-temp DDL.
-        """
-        if self._closure_epoch != self.db.fk_epoch:
-            self._closure_cache.clear()
-            self._closure_epoch = self.db.fk_epoch
-        key = frozenset(relations)
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            return set(cached)
-        closure = set(relations)
-        frontier = list(relations)
-        while frontier:
-            relation = frontier.pop()
-            if relation not in self.db.schema:
-                continue
-            for fk in self.db.schema.foreign_keys_into(relation):
-                if fk.relation_name not in closure:
-                    closure.add(fk.relation_name)
-                    frontier.append(fk.relation_name)
-        self._closure_cache[key] = closure
-        return set(closure)
+    def _refresh_cache(self) -> None:
+        """Drop the cached probes over every relation written since the
+        last refresh, cascades and rollbacks included."""
+        self.cache.maintain(self.db, self.db.deltas.take())
 
 
 def run_per_update(

@@ -24,14 +24,6 @@ from typing import Any, Optional
 from ..errors import TypeMismatchError, UFilterError
 from ..rdb.database import Database
 from ..rdb.expr import ColumnRef, Comparison, Expr, Literal, conjoin
-from ..rdb.ivm import (
-    BULK,
-    UPDATE,
-    DeltaEvent,
-    IncrementalView,
-    IvmError,
-    ivm_forced,
-)
 from ..rdb.plan import FromItem, OutputColumn, SelectPlan, execute_select
 from ..rdb.types import sql_literal
 from ..xml.nodes import XMLElement
@@ -72,29 +64,6 @@ class ProbeResult:
         )
 
 
-class _CacheEntry:
-    """One cached probe plus what it takes to keep it current."""
-
-    __slots__ = ("probe", "read", "plan", "born_seq", "view", "no_view")
-
-    def __init__(
-        self,
-        probe: ProbeResult,
-        read: frozenset[str],
-        plan: Optional[SelectPlan],
-        born_seq: int,
-    ) -> None:
-        self.probe = probe
-        self.read = read
-        self.plan = plan
-        #: delta-log position the rows reflect; only later events apply
-        self.born_seq = born_seq
-        #: lazily-built maintainer (first maintenance pass compiles it)
-        self.view: Optional[IncrementalView] = None
-        #: the maintenance compiler declined this plan — don't retry
-        self.no_view = plan is None
-
-
 class ProbeCache:
     """Memoized probe results, shared across the updates of a batch.
 
@@ -104,27 +73,20 @@ class ProbeCache:
     query, so a session only executes it once.  Key probes (PQ3) are
     keyed on ``(relation, key values)``.
 
-    Every entry records the set of base relations its query read and
-    the plan that produced it.  Mutations reach the cache one of two
-    ways: :meth:`invalidate` drops the entries whose read set
-    intersects the mutated relations (the recompute path), while
-    :meth:`maintain` streams DML delta events into each entry through
-    :class:`~repro.rdb.ivm.IncrementalView` — falling back to a drop
-    (counted in ``db.stats['ivm_fallbacks']``) on bulk markers,
-    unsupported plans, deltas over ``db.ivm_threshold``, or **cold
-    entries**: maintenance is reserved for keys requested more than
-    once, so the one-shot key probes a write stream leaves behind are
-    dropped at their first delta instead of being maintained forever
-    (per-drain work would otherwise grow with every update ever run
-    through the session).
+    Every entry records the set of base relations its query read.
+    :meth:`maintain` drops the entries whose read set meets the
+    relations the database's change log says were written; the next
+    request recomputes them.  Entries are dropped rather than
+    delta-maintained because the probes are index lookups of a few
+    rows: recomputing one costs less than propagating deltas into it.
+
+    ``hits``, ``misses``, ``invalidations`` and ``len()`` are read by
+    perfbench/.
     """
 
-    #: past this many distinct requested keys, forget the cold ones
-    REQUEST_CAP = 65536
-
     def __init__(self) -> None:
-        self._entries: dict[tuple, _CacheEntry] = {}
-        self._requests: dict[tuple, int] = {}
+        #: key -> (cached result, relations its query read)
+        self._entries: dict[tuple, tuple[ProbeResult, frozenset[str]]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -177,114 +139,40 @@ class ProbeCache:
         return ("key", relation, tuple(sql_literal(value) for value in key_values))
 
     def get(self, key: tuple) -> Optional[ProbeResult]:
-        if len(self._requests) > self.REQUEST_CAP:
-            self._requests = {
-                k: n for k, n in self._requests.items() if n >= 2
-            }
-        self._requests[key] = self._requests.get(key, 0) + 1
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
         self.hits += 1
-        probe = entry.probe.copy()
+        probe = entry[0].copy()
         probe.rows_scanned = 0  # served from cache: no executor work
         return probe
 
     def put(
-        self,
-        key: tuple,
-        probe: ProbeResult,
-        read_relations: frozenset[str],
-        plan: Optional[SelectPlan] = None,
-        born_seq: int = 0,
+        self, key: tuple, probe: ProbeResult, read_relations: frozenset[str]
     ) -> None:
-        self._entries[key] = _CacheEntry(
-            probe.copy(), read_relations, plan, born_seq
-        )
+        self._entries[key] = (probe.copy(), read_relations)
 
     def invalidate(self, relations: set[str]) -> int:
         """Drop entries that read any of *relations*; returns the count."""
         stale = [
             key
-            for key, entry in self._entries.items()
-            if entry.read & relations
+            for key, (_, read) in self._entries.items()
+            if not read.isdisjoint(relations)
         ]
         for key in stale:
             del self._entries[key]
         self.invalidations += len(stale)
         return len(stale)
 
-    def maintain(self, db: Database, events: list[DeltaEvent]) -> int:
-        """Stream drained delta *events* into the affected entries.
-
-        Each entry applies exactly the events newer than the state its
-        rows reflect.  Entries that cannot be maintained — bulk markers
-        in their delta, a plan the maintenance compiler declined, a
-        delta over ``db.ivm_threshold`` (unless ``REPRO_IVM=1`` forces
-        it), a multiplicity conflict, or a cold key (requested once:
-        no evidence it will ever be served again) — are dropped, which
-        makes the next probe recompute them.  Returns the entries
-        maintained.
-        """
-        if not events:
-            return 0
-        forced = ivm_forced()
-        maintained = 0
-        for key in list(self._entries):
-            entry = self._entries[key]
-            relevant = [
-                event for event in events
-                if event.relation in entry.read
-                and event.seq > entry.born_seq
-            ]
-            if not relevant:
-                continue
-            drop = (
-                entry.no_view
-                or self._requests.get(key, 0) < 2
-                or any(event.kind == BULK for event in relevant)
-            )
-            delta_rows = sum(
-                2 if event.kind == UPDATE else 1 for event in relevant
-            )
-            if not drop and forced is not True and delta_rows > db.ivm_threshold:
-                drop = True
-            if not drop and entry.view is None:
-                try:
-                    entry.view = IncrementalView.build(
-                        db,
-                        entry.plan,
-                        rows=entry.probe.rows,
-                        born_seq=entry.born_seq,
-                    )
-                except IvmError:
-                    entry.view = None
-                if entry.view is None:
-                    entry.no_view = True
-                    drop = True
-            if not drop:
-                try:
-                    absorbed = entry.view.apply(db, relevant)
-                except IvmError:
-                    absorbed = None
-                if absorbed is None:
-                    drop = True
-                else:
-                    entry.probe.rows = entry.view.render()
-                    entry.born_seq = relevant[-1].seq
-                    maintained += 1
-                    db.stats["ivm_maintained"] += 1
-                    db.stats["ivm_delta_rows"] += absorbed
-            if drop:
-                del self._entries[key]
-                self.invalidations += 1
-                db.stats["ivm_fallbacks"] += 1
-        return maintained
+    def maintain(self, db: Database, touched: set[str]) -> int:
+        """Drop the entries that read a relation in *touched* (drained
+        from ``db.deltas``); returns the count.  perfbench/ traces this
+        call as the cache-refresh layer."""
+        return self.invalidate(touched) if touched else 0
 
     def clear(self) -> None:
         self._entries.clear()
-        self._requests.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -516,8 +404,6 @@ class Translator:
                 key,
                 probe,
                 frozenset(item.relation_name for item in plan.from_items),
-                plan=plan,
-                born_seq=self.db.deltas.seq,
             )
         return probe
 
@@ -983,7 +869,5 @@ class Translator:
                 cache_key,
                 probe,
                 frozenset({insert.relation}),
-                plan=plan,
-                born_seq=self.db.deltas.seq,
             )
         return probe

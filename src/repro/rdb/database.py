@@ -44,14 +44,13 @@ from .constraints import DeletePolicy, ForeignKey, PrimaryKey, Unique
 from .expr import ColumnRef, Comparison, Expr, Literal
 from .faults import FaultInjector
 from .index import HashIndex
-from .ivm import DeltaLog
 from .schema import Attribute, Relation, Schema
 from .statistics import StatisticsManager
 from .table import Table
 from .transactions import TransactionManager, UndoAction, UndoKind
 from .wal import WriteAheadLog, decode_row
 
-__all__ = ["Database", "RecoveryReport"]
+__all__ = ["ChangeLog", "Database", "RecoveryReport"]
 
 Row = dict[str, Any]
 
@@ -76,6 +75,31 @@ class RecoveryReport:
     def recovered(self) -> bool:
         """True iff there was crash damage to repair."""
         return bool(self.transactions)
+
+
+class ChangeLog:
+    """The names of the relations written since the last :meth:`take`.
+
+    DML (cascades included), rollback replay and DDL record the
+    relation they touch; a session drains the set to drop the cached
+    probes that read any of them.  It holds names, not row images, so
+    it is always on and stays bounded by the schema.
+    """
+
+    __slots__ = ("touched",)
+
+    def __init__(self) -> None:
+        #: filled by :class:`Database` through ``touched.add``, a plain
+        #: C call, as it runs once per row written
+        self.touched: set[str] = set()
+
+    def take(self) -> set[str]:
+        """Drain the log (perfbench/ calls this between rounds)."""
+        touched, self.touched = self.touched, set()
+        return touched
+
+    def __len__(self) -> int:
+        return len(self.touched)
 
 
 class Database:
@@ -132,15 +156,10 @@ class Database:
             #: vectorized-plan subtrees executed through the
             #: row-at-a-time closures (per-subtree fallback activations)
             "vector_fallbacks": 0,
-            #: cached probe results kept current by applying DML deltas
-            #: (one maintenance pass per entry per drain)
+            #: retired delta-maintenance counters, kept at 0 because
+            #: perfbench/ reads them
             "ivm_maintained": 0,
-            #: maintained entries dropped to full recompute (bulk
-            #: markers, unsupported plan shapes, oversized deltas,
-            #: multiplicity conflicts)
             "ivm_fallbacks": 0,
-            #: signed delta rows streamed into maintained entries
-            #: (an update counts as retract + assert)
             "ivm_delta_rows": 0,
         }
         #: deterministic fault-injection registry shared with every
@@ -172,18 +191,9 @@ class Database:
         #: when the summed row count of its Scan leaves clears this (the
         #: ``REPRO_VECTORIZE`` environment variable overrides per run)
         self.vectorize_threshold = 512
-        #: row-level DML event stream feeding incremental probe
-        #: maintenance (:mod:`repro.rdb.ivm`); recording starts when a
-        #: session opts in, so loads and engine-only workloads pay nothing
-        self.deltas = DeltaLog()
-        #: maintenance cost ceiling: a cached probe whose pending delta
-        #: exceeds this many rows recomputes instead (the ``REPRO_IVM``
-        #: environment variable overrides per run)
-        self.ivm_threshold = 256
-        #: bumped when the FK graph can change (CREATE/DROP of non-temp
-        #: relations) — sessions key their cascade-closure memo on it;
-        #: temp-table churn must not thrash that memo
-        self.fk_epoch = 0
+        #: relations written since the last drain — sessions drop the
+        #: cached probes that read any of them
+        self.deltas = ChangeLog()
         #: re-planning threshold: a cached plan survives DML drift of up
         #: to ``max(replan_min_ops, replan_threshold × rows-at-compile)``
         #: modified rows per read relation before the join order is
@@ -261,7 +271,6 @@ class Database:
         self.indexes[relation.name] = [
             self._adopt(index) for index in self._build_indexes(relation)
         ]
-        self.fk_epoch += 1
         self._bump_schema_version(relation.name)
 
     def create_temp_table(
@@ -331,9 +340,6 @@ class Database:
         return index
 
     def drop_table(self, name: str) -> None:
-        relation = self.schema.relations.get(name)
-        if relation is not None and not getattr(relation, "temp", False):
-            self.fk_epoch += 1
         self.schema.relations.pop(name, None)
         self.tables.pop(name, None)
         self.indexes.pop(name, None)
@@ -345,10 +351,7 @@ class Database:
         self.schema_versions[relation_name] = (
             self.schema_versions.get(relation_name, 0) + 1
         )
-        # DDL invalidates any maintained result over the relation the
-        # same way it invalidates compiled plans
-        if self.deltas.enabled:
-            self.deltas.record_bulk(relation_name)
+        self.deltas.touched.add(relation_name)
 
     # ------------------------------------------------------------------
     # lookups
@@ -602,6 +605,8 @@ class Database:
     # ------------------------------------------------------------------
 
     def _bump_data_version(self, relation_name: str) -> None:
+        # logged even while a rollback coalesces its version bumps
+        self.deltas.touched.add(relation_name)
         if self._coalesce_versions:
             return  # one bump per relation per rollback (see _replay_undo)
         self.data_versions[relation_name] = (
@@ -650,11 +655,6 @@ class Database:
         self.columns.on_insert(relation_name, rowid, stored)
         for index in self.indexes[relation_name]:
             index.add(rowid, stored)
-        # recorded only once the mutation fully landed: a fault above
-        # leaves no event, and the rollback that repairs the tear
-        # records a bulk marker instead (see _replay_undo)
-        if self.deltas.enabled and not self._replaying:
-            self.deltas.record_insert(relation_name, rowid, stored)
         return rowid
 
     def _physical_delete(self, relation_name: str, rowid: int) -> Row:
@@ -668,8 +668,6 @@ class Database:
         self.columns.on_delete(relation_name, rowid)
         for index in self.indexes[relation_name]:
             index.remove(rowid, removed)
-        if self.deltas.enabled and not self._replaying:
-            self.deltas.record_delete(relation_name, rowid, removed)
         return removed
 
     def _physical_update(
@@ -691,8 +689,6 @@ class Database:
         for index in self.indexes[relation_name]:
             index.remove(rowid, old)
             index.add(rowid, current)
-        if self.deltas.enabled and not self._replaying:
-            self.deltas.record_update(relation_name, rowid, old, current)
         return old
 
     # ------------------------------------------------------------------
@@ -970,11 +966,6 @@ class Database:
                     self.data_versions.get(relation_name, 0)
                     + touched[relation_name]
                 )
-                # the delta log coalesces with rollback exactly like the
-                # version bumps: no per-row compensation events replayed,
-                # one bulk marker per touched relation instead
-                if self.deltas.enabled:
-                    self.deltas.record_bulk(relation_name)
 
     def _undo_apply(self, action: UndoAction) -> None:
         """Apply one undo action conditionally (idempotent)."""
@@ -1055,10 +1046,8 @@ class Database:
                     self.wal.end_txn(txn_id, "abort")
                 self.recovery_epoch += 1
                 self.stats["recoveries"] += 1
-                # the crashed transaction's events (and the bulk markers
-                # the repair loop just recorded) describe state that no
-                # longer exists; the epoch bump makes every session drop
-                # its probe cache, so the log restarts empty
+                # the epoch bump makes every session drop its whole probe
+                # cache, so the relations the repair touched need no log
                 self.deltas.take()
             self.wal.checkpoint()
         if redo:

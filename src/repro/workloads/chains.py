@@ -1,16 +1,15 @@
 """The FK-chain workload: parent <- child <- grand (+ offview).
 
-Originally a QA-test fixture, promoted to a workload module because the
-streaming benchmark needs it too: the chain view has **no shared
-relations** (unlike BookView's publisher), so both ``<parent>`` and
-``<child>`` inserts are unconditionally translatable — the only shape
-in the sample workloads that can sustain an unbounded write stream
-through a long-lived session.
+The chain view has **no shared relations** (unlike BookView's
+publisher), so both ``<parent>`` and ``<child>`` inserts are
+unconditionally translatable — the only shape in the sample workloads
+that can sustain an unbounded write stream through a long-lived
+session.  The probe-cache coherence tests drive one through it.
 
 ``STREAM_INSERT_CHILD`` targets its parent by ``pname`` on purpose:
-``pname`` carries no index, so recomputing the cached context probe
-scans the whole parent table — exactly the work delta maintenance
-avoids.
+``pname`` carries no index, so its cached context probe is the costly
+one to recompute, and a stale copy of it would anchor the child under
+a parent that no longer matches.
 """
 
 from __future__ import annotations
@@ -88,8 +87,8 @@ STREAM_INSERT_CHILD = """
         </child> }}
 """
 
-#: insert a fresh top-level parent — the write that forces the
-#: invalidate-and-recompute baseline to re-scan the parent table
+#: insert a fresh top-level parent — a write to ``parent`` that drops
+#: the cached context probe of ``STREAM_INSERT_CHILD``
 STREAM_INSERT_PARENT = """
     FOR $root IN document("GenView.xml")
     UPDATE $root {{

@@ -5,14 +5,15 @@ and key values: ``1`` vs ``1.0`` on a DOUBLE column (or ``"1"`` vs
 ``1`` on an INTEGER column) composed the *same* SQL but missed each
 other's entries — and any repr collision across types would have
 wrongly shared one.  Keys now canonicalize through column-type
-coercion + ``sql_literal``.  Invalidation is cross-checked against the
-session's FK cascade closure: a mutation must drop every entry whose
-read set a cascade could reach, and nothing else.
+coercion + ``sql_literal``.  Invalidation follows the database's
+change log: a write must drop every entry whose read set it touched
+(cascades, rollbacks and direct DML between executes included), and
+nothing else.
 """
 
 import pytest
 
-from repro.core import UFilter, UpdateSession
+from repro.core import UFilter, UpdateSession, run_per_update
 from repro.core.translation import ProbeCache, ProbeResult
 from repro.core.update_binding import PredicateResolution, ResolvedUpdate
 from repro.core.asg import ValueConstraint
@@ -140,7 +141,7 @@ def test_key_probe_cache_hit_after_type_coercion(chain_translator):
 
 
 # ---------------------------------------------------------------------------
-# invalidation under the FK cascade closure
+# invalidation by the database's change log
 # ---------------------------------------------------------------------------
 
 def entry(cache, name, read_relations):
@@ -161,65 +162,142 @@ def test_invalidate_drops_intersecting_entries_only():
     assert cache.get(("context", "on-child", False, ())) is None
 
 
-def test_cascade_closure_reaches_fk_descendants():
+def test_maintain_drains_the_change_log_into_drops():
     db = build_chain_db()
-    session = UpdateSession(db, CHAIN_VIEW)
-    closure = session._cascade_closure({"parent"})
-    assert closure == {"parent", "child", "grand"}
-    assert session._cascade_closure({"grand"}) == {"grand"}
-
-
-def test_invalidate_under_cascade_closure():
-    """A parent mutation must drop entries reading any FK descendant (a
-    cascade may touch them); entries on disjoint relations survive."""
-    db = build_chain_db()
-    session = UpdateSession(db, CHAIN_VIEW)
-    cache = session.cache
-    entry(cache, "reads-grand", {"grand"})
+    cache = ProbeCache()
+    entry(cache, "reads-child", {"child"})
     entry(cache, "reads-offview", {"offview"})
-    dropped = cache.invalidate(session._cascade_closure({"parent"}))
-    assert dropped == 1
+    db.deltas.take()
+    db.update("child", db.find_rowids("child", {"cid": "C1"}).pop(), {"cname": "e"})
+    assert cache.maintain(db, db.deltas.take()) == 1
+    assert cache.maintain(db, db.deltas.take()) == 0  # nothing new written
+    assert len(cache) == 1
     assert cache.get(("context", "reads-offview", False, ())) is not None
-    assert cache.get(("context", "reads-grand", False, ())) is None
 
 
-DELETE_P2 = """
+DELETE_P1 = """
 FOR $root IN document("GenView.xml"),
     $p IN $root/parent
-WHERE $p/pid/text() = "P2"
+WHERE $p/pid/text() = "P1"
 UPDATE $root {
     DELETE $p }
 """
 
 
 def test_interleaved_session_invalidates_cascade_reachable_entries():
-    """End to end: applying a parent-level delete through an interleaved
-    session (maintenance off) drops cached probes over the
-    cascade-reachable relations."""
+    """End to end: a parent delete that cascades through child into
+    grand drops the cached probes over every relation the cascade
+    wrote; entries on untouched relations survive."""
     db = build_chain_db()
-    session = UpdateSession(db, CHAIN_VIEW, ivm=False)
+    db.deltas.take()  # the load predates the entries below
+    session = UpdateSession(db, CHAIN_VIEW)
     entry(session.cache, "reads-grand", {"grand"})
     entry(session.cache, "reads-offview", {"offview"})
-    session.add(DELETE_P2)
+    session.add(DELETE_P1)
     result = session.execute(mode="interleaved")
     assert result.committed
+    assert db.count("grand") == 0
     assert session.cache.get(("context", "reads-offview", False, ())) is not None
     assert session.cache.get(("context", "reads-grand", False, ())) is None
 
 
-def test_interleaved_session_maintenance_is_delta_precise():
-    """Under maintenance the same delete keeps the entry over ``grand``:
-    no grand row actually changed (P2 has no FK descendants), so the
-    delta stream carries nothing for it — precision the cascade-closure
-    invalidation cannot offer.  An entry whose relation *did* change
-    (and which carries no maintainable plan) still drops."""
-    db = build_chain_db()
-    session = UpdateSession(db, CHAIN_VIEW, ivm=True)
-    entry(session.cache, "reads-grand", {"grand"})
-    entry(session.cache, "reads-parent", {"parent"})
-    session.add(DELETE_P2)
-    result = session.execute(mode="interleaved")
-    assert result.committed
-    assert session.cache.get(("context", "reads-grand", False, ())) is not None
-    assert session.cache.get(("context", "reads-parent", False, ())) is None
-    assert result.ivm_fallbacks >= 1  # the planless parent entry
+# ---------------------------------------------------------------------------
+# coherence of a long-lived session
+# ---------------------------------------------------------------------------
+
+DELETE_P2 = DELETE_P1.replace('"P1"', '"P2"')
+
+#: a parent with one child: the apply inserts the parent, then the child
+INSERT_FAMILY = """
+    FOR $root IN document("GenView.xml")
+    UPDATE $root {{
+    INSERT
+        <parent>
+            <pid>{pid}</pid>
+            <pname>family</pname>
+            <child>
+                <cid>{cid}</cid>
+                <cname>kin</cname>
+                <cnum>3</cnum>
+            </child>
+        </parent> }}
+"""
+
+
+def chain_state(db):
+    return {
+        relation: sorted(tuple(sorted(row.items())) for row in db.rows(relation))
+        for relation in ("parent", "child", "grand")
+    }
+
+
+def test_long_lived_session_probes_match_uncached_reruns(monkeypatch):
+    """One interleaved, non-atomic session over the chain workload sees
+    inserts, a cascading delete, an update that fails mid-apply and is
+    rolled back to its savepoint, and a direct write between two
+    executes.  After every execute each cached probe must hold the rows
+    an uncached re-run returns, and the final state must match checking
+    the same updates one by one without a session.
+
+    The direct write renames parent "a"; a cache that misses it keeps a
+    context probe that still finds "a" and applies the next child
+    insert under a parent that no longer matches.
+    """
+    from repro.core import translation
+    from repro.rdb import FaultPlan, execute_select
+    from repro.workloads import chains
+
+    plans = {}
+
+    def recording(db, plan, *args, **kwargs):
+        plans[plan.to_sql()] = plan
+        return execute_select(db, plan, *args, **kwargs)
+
+    monkeypatch.setattr(translation, "execute_select", recording)
+
+    def child(k):
+        return chains.STREAM_INSERT_CHILD.format(cid=f"CX{k}", num=k)
+
+    def parent(k):
+        return chains.STREAM_INSERT_PARENT.format(pid=f"PX{k}")
+
+    db = chains.build_chain_db(seed_parents=3)
+    baseline = chains.build_chain_db(seed_parents=3)
+    session = UpdateSession(db, CHAIN_VIEW)
+
+    def run(updates, expected, skip_in_baseline=()):
+        result = session.execute(updates, mode="interleaved", atomic=False)
+        assert [e.status for e in result.entries] == expected
+        for probe, _ in session.cache._entries.values():
+            fresh = execute_select(db, plans[probe.sql])
+            assert [list(r.items()) for r in probe.rows] == [
+                list(r.items()) for r in fresh
+            ], probe.sql
+        run_per_update(
+            baseline,
+            CHAIN_VIEW,
+            [u for i, u in enumerate(updates) if i not in skip_in_baseline],
+        )
+        return result
+
+    run([child(1), child(2), parent(1)], ["applied"] * 3)
+    run([DELETE_P2, child(3)], ["applied"] * 2)
+    assert db.count("child") == 4  # C2 went with P2; C1 + three inserts
+    # the fault fires at the family's second planned insert (the child),
+    # after its parent landed: the savepoint must undo the parent too
+    db.faults.arm(FaultPlan(at=2, site="datacheck.insert", action="error"))
+    run(
+        [INSERT_FAMILY.format(pid="PF", cid="CF"), child(4)],
+        ["failed", "applied"],
+        skip_in_baseline={0},
+    )
+    db.faults.disarm()
+    assert not db.find_rowids("parent", {"pid": "PF"})
+
+    for target in (db, baseline):
+        rowid = target.find_rowids("parent", {"pid": "P1"}).pop()
+        target.update("parent", rowid, {"pname": "z"})
+    run([child(5), parent(5)], ["rejected", "applied"])
+    assert "CX5" not in {row["cid"] for row in db.rows("child")}
+    assert session.cache.hits > 0
+    assert chain_state(db) == chain_state(baseline)

@@ -310,3 +310,65 @@ class TestLookups:
     def test_missing_relation_raises(self):
         with pytest.raises(DatabaseError):
             _db().table("ghost")
+
+
+class TestChangeLog:
+    """``db.deltas``: the relations written since the last drain."""
+
+    def test_dml_hooks_record_touched_relations(self):
+        db = _db()
+        db.deltas.take()
+        rowid = db.insert(
+            "review",
+            {"bookid": "98001", "reviewid": "201", "comment": "c",
+             "reviewer": "r"},
+        )
+        db.update("review", rowid, {"comment": "c2"})
+        db.delete("review", {rowid})
+        assert db.deltas.take() == {"review"}
+
+    def test_take_drains(self):
+        db = _db()
+        db.insert("publisher", {"pubid": "Z01", "pubname": "Zed"})
+        assert "publisher" in db.deltas.take()
+        assert db.deltas.take() == set()
+        assert len(db.deltas) == 0
+
+    def test_cascading_delete_records_every_child(self):
+        db = _db()
+        db.deltas.take()
+        db.delete("book", db.find_rowids("book", {"bookid": "98001"}))
+        assert db.deltas.take() == {"book", "review"}
+
+    def test_rollback_records_touched_relations(self):
+        db = _db()
+        db.begin()
+        db.delete_where("publisher", parse_expression("pubid = 'A01'"))
+        db.deltas.take()  # the forward writes are drained ...
+        db.rollback()
+        # ... so only the replay of the cascade can have recorded these
+        assert db.deltas.take() == {"publisher", "book", "review"}
+
+    def test_ddl_records_its_relation(self):
+        from repro.rdb import SQLEngine, parse_script
+
+        db = _db()
+        db.deltas.take()
+        engine = SQLEngine(db)
+        for statement in parse_script(
+            "CREATE TABLE scratch(sid VARCHAR2(4),"
+            " CONSTRAINTS ScrPK PRIMARYKEY (sid));"
+        ):
+            engine.execute(statement)
+        assert db.deltas.take() == {"scratch"}
+        db.create_index("book", ["title"])
+        assert db.deltas.take() == {"book"}
+
+    def test_recovery_discards_the_log(self):
+        db = _db()
+        db.attach_wal()
+        db.begin()
+        db.insert("publisher", {"pubid": "Z01", "pubname": "Zed"})
+        assert db.recover().recovered
+        # the recovery epoch bump already drops every session's cache
+        assert db.deltas.take() == set()

@@ -82,7 +82,7 @@ def test_probe_executions_strictly_fewer_than_per_update(book_db):
 
 
 def test_cache_survives_between_batches_and_invalidates_on_write(book_db):
-    session = UpdateSession(book_db, books.BOOK_VIEW_QUERY, ivm=False)
+    session = UpdateSession(book_db, books.BOOK_VIEW_QUERY)
     first = session.execute([insert_review(131)])
     assert first.committed and first.cache_invalidations > 0
     # the apply wrote review → the context probe (reads review) was
