@@ -11,11 +11,12 @@ An :class:`UpdateSession` amortizes that work across a whole batch:
   attached to the translator: updates anchored at the same view node
   with the same predicate signature reuse PQ1/PQ2 results, and
   repeated PQ3 key probes collapse too.  The cache is kept current by
-  the database's change log (``db.deltas``): at the start of each
+  its own :class:`repro.rdb.database.ChangeLog`: at the start of each
   execute, after each applied update and after each rollback, the
-  session drains the relations written since the last drain and drops
-  every cached probe that read one of them.  Writes made outside the
-  session between two executes are caught the same way;
+  session takes the relations whose versions moved since the cache's
+  last refresh and drops every cached probe that read one of them.
+  Writes made outside the session between two executes, other
+  sessions' included, are caught the same way;
 * **conflict detection** — before any SQL is applied, the queued dirty
   deletes and inserts of the batch are cross-checked: duplicate
   driving-key inserts, inserts under a parent tuple another update
@@ -66,7 +67,7 @@ from ..errors import (
     UFilterError,
     UpdateTimeoutError,
 )
-from ..rdb.database import Database
+from ..rdb.database import ChangeLog, Database
 from ..xquery.ast import ViewQuery
 from ..xquery.parser import parse_view_query
 from ..xquery.update_ast import ViewUpdate
@@ -252,10 +253,12 @@ class UpdateSession:
         process-wide :data:`repro.core.asg_cache.shared_store`.
     cache:
         A :class:`ProbeCache` to (re)use; fresh by default.  The
-        session drains ``db.deltas`` into it, dropping every probe over
-        a relation written since the last drain.  Each drain empties
-        the log, so two sessions over one database hide writes from
-        each other's caches.
+        cache reads the write history through its own
+        :class:`~repro.rdb.database.ChangeLog`, dropping every probe
+        over a relation written since its last refresh, so sessions
+        over one database never hide writes from each other.  A cache
+        not yet tracking *db* is emptied first: the age of its entries
+        is unknown.
     qa:
         Run the post-translation QA audit (:mod:`repro.core.qa`) on
         every checked plan.  Off by default: sessions exist for
@@ -330,6 +333,9 @@ class UpdateSession:
             db, parsed_view, cached_asg=store.get_or_build(parsed_view, db.schema)
         )
         self.cache = ProbeCache() if cache is None else cache
+        if self.cache.changes is None or self.cache.changes.db is not db:
+            self.cache.clear()
+            self.cache.changes = ChangeLog(db)
         self.ufilter.checker.translator.cache = self.cache
         self._queue: list[ViewUpdate] = []
 
@@ -949,8 +955,8 @@ class UpdateSession:
 
     def _refresh_cache(self) -> None:
         """Drop the cached probes over every relation written since the
-        last refresh, cascades and rollbacks included."""
-        self.cache.maintain(self.db, self.db.deltas.take())
+        cache's last refresh, cascades and rollbacks included."""
+        self.cache.maintain(self.db, self.cache.changes.take())
 
 
 def run_per_update(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..errors import TypeMismatchError, UFilterError
-from ..rdb.database import Database
+from ..rdb.database import ChangeLog, Database
 from ..rdb.expr import ColumnRef, Comparison, Expr, Literal, conjoin
 from ..rdb.plan import FromItem, OutputColumn, SelectPlan, execute_select
 from ..rdb.types import sql_literal
@@ -75,10 +75,12 @@ class ProbeCache:
 
     Every entry records the set of base relations its query read.
     :meth:`maintain` drops the entries whose read set meets the
-    relations the database's change log says were written; the next
-    request recomputes them.  Entries are dropped rather than
-    delta-maintained because the probes are index lookups of a few
-    rows: recomputing one costs less than propagating deltas into it.
+    relations written since the cache's last refresh, as its own
+    :class:`~repro.rdb.database.ChangeLog` (``changes``, set by the
+    session that opens over it) reports them; the next request
+    recomputes them.  Entries are dropped rather than delta-maintained
+    because the probes are index lookups of a few rows: recomputing
+    one costs less than propagating deltas into it.
 
     ``hits``, ``misses``, ``invalidations`` and ``len()`` are read by
     perfbench/.
@@ -90,6 +92,8 @@ class ProbeCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+        #: this cache's position in its database's write history
+        self.changes: Optional[ChangeLog] = None
 
     @staticmethod
     def context_key(
@@ -166,9 +170,9 @@ class ProbeCache:
         return len(stale)
 
     def maintain(self, db: Database, touched: set[str]) -> int:
-        """Drop the entries that read a relation in *touched* (drained
-        from ``db.deltas``); returns the count.  perfbench/ traces this
-        call as the cache-refresh layer."""
+        """Drop the entries that read a relation in *touched* (taken
+        from a :class:`~repro.rdb.database.ChangeLog`); returns the
+        count.  perfbench/ traces this call as the cache-refresh layer."""
         return self.invalidate(touched) if touched else 0
 
     def clear(self) -> None:

@@ -24,7 +24,13 @@ from ..xquery.ast import Binding, DocSource, Predicate, VarPath
 from ..xquery.update_ast import DeleteOp, InsertOp, ReplaceOp, UpdateOp, ViewUpdate
 from .asg import NodeKind, ValueConstraint, ViewASG, ViewNode
 
-__all__ = ["PredicateResolution", "OpResolution", "ResolvedUpdate", "resolve_update"]
+__all__ = [
+    "PredicateResolution",
+    "OpResolution",
+    "ResolvedUpdate",
+    "rebind_update",
+    "resolve_update",
+]
 
 
 @dataclass
@@ -211,3 +217,51 @@ def _resolve_op(
             )
         return result
     return OpResolution(op=op, kind="unknown", error=f"unsupported op {op!r}")
+
+
+def rebind_update(template: ResolvedUpdate, update: ViewUpdate) -> ResolvedUpdate:
+    """*template*'s resolution carried over to *update*, an update of
+    the same shape with other literals (see
+    :mod:`repro.xquery.update_template`).
+
+    Bindings, target, leaves and operation nodes depend on the shape
+    alone and are shared; each predicate's constraint takes the new
+    literal, and each operation its new op and fragment.
+    """
+    predicates = []
+    for resolution, predicate in zip(template.predicates, update.where):
+        constraint = resolution.constraint
+        if constraint is not None:
+            # _resolve_predicate orients the variable path to the left
+            literal = (
+                predicate.right if isinstance(predicate.left, VarPath)
+                else predicate.left
+            )
+            constraint = ValueConstraint(constraint.op, literal)
+        predicates.append(PredicateResolution(
+            predicate=predicate,
+            leaf=resolution.leaf,
+            relation=resolution.relation,
+            attribute=resolution.attribute,
+            constraint=constraint,
+            error=resolution.error,
+        ))
+    ops = [
+        OpResolution(
+            op=op,
+            kind=resolution.kind,
+            node=resolution.node,
+            text_delete=resolution.text_delete,
+            fragment=None if resolution.fragment is None else op.fragment,
+            error=resolution.error,
+        )
+        for resolution, op in zip(template.ops, update.ops)
+    ]
+    return ResolvedUpdate(
+        update=update,
+        env=dict(template.env),
+        target=template.target,
+        predicates=predicates,
+        ops=ops,
+        error=template.error,
+    )

@@ -78,28 +78,46 @@ class RecoveryReport:
 
 
 class ChangeLog:
-    """The names of the relations written since the last :meth:`take`.
+    """One reader's position in a database's write history.
 
-    DML (cascades included), rollback replay and DDL record the
-    relation they touch; a session drains the set to drop the cached
-    probes that read any of them.  It holds names, not row images, so
-    it is always on and stays bounded by the schema.
+    :meth:`take` returns the relations whose data version
+    (``db.data_versions``: DML, cascades and rollback replay) or schema
+    version (``db.schema_versions``: DDL) moved since this reader's last
+    take, and advances the position.  Every reader keeps its own
+    position, so two readers never steal each other's changes: each
+    probe cache reads through its own log, and ``db.deltas`` is the
+    database's default reader (perfbench/ drains it between rounds).
+    Nothing is recorded per row written; a take compares one version
+    pair per live relation.
     """
 
-    __slots__ = ("touched",)
+    __slots__ = ("db", "_seen")
 
-    def __init__(self) -> None:
-        #: filled by :class:`Database` through ``touched.add``, a plain
-        #: C call, as it runs once per row written
-        self.touched: set[str] = set()
+    def __init__(self, db: "Database") -> None:
+        self.db = db
+        self._seen = self._stamp()
+
+    def _stamp(self) -> dict[str, tuple[int, int]]:
+        data, schema = self.db.data_versions, self.db.schema_versions
+        return {
+            name: (data.get(name, 0), schema.get(name, 0)) for name in self.db.tables
+        }
+
+    def _moved(self, stamp: dict[str, tuple[int, int]]) -> set[str]:
+        seen = self._seen
+        moved = {name for name, versions in stamp.items() if seen.get(name) != versions}
+        moved.update(name for name in seen if name not in stamp)  # dropped
+        return moved
 
     def take(self) -> set[str]:
-        """Drain the log (perfbench/ calls this between rounds)."""
-        touched, self.touched = self.touched, set()
-        return touched
+        """The relations written since the last take; advances past them."""
+        stamp = self._stamp()
+        moved = self._moved(stamp)
+        self._seen = stamp
+        return moved
 
     def __len__(self) -> int:
-        return len(self.touched)
+        return len(self._moved(self._stamp()))
 
 
 class Database:
@@ -191,9 +209,6 @@ class Database:
         #: when the summed row count of its Scan leaves clears this (the
         #: ``REPRO_VECTORIZE`` environment variable overrides per run)
         self.vectorize_threshold = 512
-        #: relations written since the last drain — sessions drop the
-        #: cached probes that read any of them
-        self.deltas = ChangeLog()
         #: re-planning threshold: a cached plan survives DML drift of up
         #: to ``max(replan_min_ops, replan_threshold × rows-at-compile)``
         #: modified rows per read relation before the join order is
@@ -224,6 +239,9 @@ class Database:
             self.indexes[relation.name] = [
                 self._adopt(index) for index in self._build_indexes(relation)
             ]
+        #: the default reader of the write history; each probe cache
+        #: keeps its own (see :class:`ChangeLog`)
+        self.deltas = ChangeLog(self)
 
     def _adopt(self, storage: Any) -> Any:
         """Share this database's fault injector with a table/index."""
@@ -351,7 +369,6 @@ class Database:
         self.schema_versions[relation_name] = (
             self.schema_versions.get(relation_name, 0) + 1
         )
-        self.deltas.touched.add(relation_name)
 
     # ------------------------------------------------------------------
     # lookups
@@ -605,8 +622,6 @@ class Database:
     # ------------------------------------------------------------------
 
     def _bump_data_version(self, relation_name: str) -> None:
-        # logged even while a rollback coalesces its version bumps
-        self.deltas.touched.add(relation_name)
         if self._coalesce_versions:
             return  # one bump per relation per rollback (see _replay_undo)
         self.data_versions[relation_name] = (

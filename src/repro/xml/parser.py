@@ -13,7 +13,7 @@ import re
 from ..errors import XMLError
 from .nodes import XMLElement, XMLText
 
-__all__ = ["parse_xml"]
+__all__ = ["decode_entities", "parse_xml"]
 
 _NAME = re.compile(r"[A-Za-z_][\w.\-]*")
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
@@ -58,7 +58,9 @@ class _Scanner:
         return XMLError(f"{message} at offset {self.position}")
 
 
-def _decode_entities(raw: str) -> str:
+def decode_entities(raw: str) -> str:
+    """Replace character entities (named and numeric) in *raw*."""
+
     def replace(match: re.Match) -> str:
         body = match.group(1)
         try:
@@ -129,7 +131,7 @@ def _parse_element(scanner: _Scanner) -> XMLElement:
         end = scanner.text.find(quote, scanner.position)
         if end == -1:
             raise scanner.error("unterminated attribute value")
-        attributes[name] = _decode_entities(scanner.text[scanner.position:end])
+        attributes[name] = decode_entities(scanner.text[scanner.position:end])
         scanner.position = end + 1
 
     node = XMLElement(tag, attributes=attributes)
@@ -137,7 +139,7 @@ def _parse_element(scanner: _Scanner) -> XMLElement:
 
     def flush_text() -> None:
         if buffer:
-            content = _decode_entities("".join(buffer))
+            content = decode_entities("".join(buffer))
             if content:
                 node.append(XMLText(content))
             buffer.clear()
@@ -167,4 +169,9 @@ def _parse_element(scanner: _Scanner) -> XMLElement:
             flush_text()
             node.append(_parse_element(scanner))
             continue
-        buffer.append(scanner.advance())
+        # a text run: everything up to the next markup, in one slice
+        end = scanner.text.find("<", scanner.position)
+        if end == -1:
+            end = len(scanner.text)
+        buffer.append(scanner.text[scanner.position:end])
+        scanner.position = end

@@ -19,7 +19,7 @@ from .ast import Binding, DocSource, Predicate, VarPath
 from .lexer import Lexer, Token, TokenKind
 from .update_ast import DeleteOp, InsertOp, ReplaceOp, UpdateOp, ViewUpdate
 
-__all__ = ["parse_view_update"]
+__all__ = ["parse_view_update", "unquote_text"]
 
 _QUOTES = ('"', "'", "“", "”")
 
@@ -202,13 +202,19 @@ class _UpdateParser:
         return fragment
 
 
+def unquote_text(value: str) -> str:
+    """Literal text content as validation reads it: trimmed, unquoted."""
+    value = value.strip()
+    if len(value) >= 2 and value[0] in _QUOTES and value[-1] in _QUOTES:
+        value = value[1:-1]
+    return value
+
+
 def _normalize_fragment(node: XMLElement) -> None:
     """Unquote and trim literal text content, in place."""
     for child in list(node.children):
         if isinstance(child, XMLText):
-            value = child.value.strip()
-            if len(value) >= 2 and value[0] in _QUOTES and value[-1] in _QUOTES:
-                value = value[1:-1]
+            value = unquote_text(child.value)
             if value:
                 child.value = value
             else:

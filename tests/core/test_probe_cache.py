@@ -301,3 +301,44 @@ def test_long_lived_session_probes_match_uncached_reruns(monkeypatch):
     assert "CX5" not in {row["cid"] for row in db.rows("child")}
     assert session.cache.hits > 0
     assert chain_state(db) == chain_state(baseline)
+
+
+def test_sessions_over_one_database_do_not_steal_each_others_changes():
+    """Each probe cache reads the write history from its own position.
+
+    Session A caches the context probe for parent "a"; a direct write
+    renames "a"; session B executes, taking the change for its own
+    cache.  A must still see the rename: its next child insert is
+    rejected, not applied under a parent that no longer matches.
+    """
+    from repro.workloads import chains
+
+    def child(k):
+        return chains.STREAM_INSERT_CHILD.format(cid=f"CX{k}", num=k)
+
+    db = chains.build_chain_db()
+    a = UpdateSession(db, CHAIN_VIEW)
+    b = UpdateSession(db, CHAIN_VIEW)
+    first = a.execute([child(1)], mode="interleaved", atomic=False)
+    assert [e.status for e in first.entries] == ["applied"]
+    rowid = db.find_rowids("parent", {"pid": "P1"}).pop()
+    db.update("parent", rowid, {"pname": "z"})
+    b.execute([chains.STREAM_INSERT_PARENT.format(pid="PB")], mode="interleaved")
+    second = a.execute([child(2)], mode="interleaved", atomic=False)
+    assert [e.status for e in second.entries] == ["rejected"]
+    assert not db.find_rowids("child", {"cid": "CX2"})
+
+
+def test_a_cache_tracks_its_own_database():
+    db = build_chain_db()
+    cache = ProbeCache()
+    entry(cache, "stale", {"child"})
+    session = UpdateSession(db, CHAIN_VIEW, cache=cache)
+    # entries of unknown age are dropped when a session adopts the cache
+    assert len(cache) == 0 and cache.changes.db is db
+    entry(cache, "reads-child", {"child"})
+    UpdateSession(db, CHAIN_VIEW, cache=cache)  # already tracking db: kept
+    assert len(cache) == 1
+    db.update("child", db.find_rowids("child", {"cid": "C1"}).pop(), {"cname": "e"})
+    session.execute([], mode="interleaved")
+    assert len(cache) == 0

@@ -47,6 +47,18 @@ def test_mixed_content_preserved():
     assert root.text_content() == "premidpost"
 
 
+def test_text_runs_split_at_comments_and_markup():
+    root = parse_xml("<a>one &amp; <!-- c -->two > three<b/>four</a>")
+    assert [c.value for c in root.children if not hasattr(c, "tag")] == [
+        "one & ", "two > three", "four",
+    ]
+
+
+def test_unterminated_text_reports_the_end_of_input():
+    with pytest.raises(XMLError, match=r"unterminated element <a> at offset 10"):
+        parse_xml("<a>text...")
+
+
 def test_mismatched_tags_rejected():
     with pytest.raises(XMLError):
         parse_xml("<a><b></a></b>")
